@@ -1,32 +1,18 @@
-//! # darkside-bench — perf measurement substrate
+//! # darkside-bench — experiment binaries and CI gates
 //!
-//! Criterion-style micro-benchmarking without the criterion dependency (the
-//! build environment is offline — DESIGN.md §6): [`harness`] calibrates
-//! iteration counts, takes warmed-up wall-clock samples, and reports
-//! median/min/mean ns per op plus GFLOP/s.
-//!
-//! Bench targets (`cargo bench -p darkside-bench --bench <name>`):
-//! * `gemm` — naive oracle vs blocked vs blocked+threads, several sizes
-//! * `spmv` — dense GEMV vs CSR SpMV/SpMM across sparsities
-//! * `batched_score` — per-frame vs batched utterance scoring
-//!
-//! The binary `perf_baseline` runs the acceptance subset and records
-//! `BENCH_compute.json`; `pipeline_baseline` runs the traced smoke pipeline
-//! and records `BENCH_pipeline.json` (schemas in EXPERIMENTS.md) so later
-//! PRs append comparable numbers. `trace_overhead` is the ISSUE 4 CI gate:
-//! instrumented decode under the default `NullRecorder` must stay within
-//! 5 % of the pre-instrumentation search loop.
-
 //! The experiment binaries (`exp_fig3`, `exp_fig4`, `exp_fig7`,
-//! `pipeline_smoke`) run the `darkside_core::Pipeline` end to end and check
-//! the paper's shape targets; [`report`] holds their shared table
-//! formatting and the `--json <path>` structured-report writer every
-//! experiment accepts.
+//! `exp_scale`, `pipeline_smoke`) run the `darkside_core::Pipeline` end to
+//! end and check the paper's shape targets; `serve_load` and `serve_top`
+//! gate the serving engine; `trace_overhead` gates the instrumentation
+//! cost. [`report`] holds their shared table formatting and the
+//! `--json <path>` writer, which renders through `darkside_core::trace::Json`.
+//!
+//! Performance is measured by the serving benchmark under `benchmark/`
+//! (`BENCHMARK.json`), not here: these binaries gate shapes and orderings,
+//! and none of their output is a performance record.
 
-pub mod harness;
 pub mod report;
 
-pub use harness::{bench, bench_with, BenchOptions, BenchResult};
 pub use report::{
     check, json_arg, print_level_table, print_policy_grid, print_policy_latency, print_run_header,
     write_json_file,

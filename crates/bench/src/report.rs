@@ -1,6 +1,5 @@
 //! Shared table formatting, shape-target checking, and `--json` report
-//! writing for the experiment binaries (`exp_fig3`, `exp_fig4`, `exp_fig7`,
-//! `pipeline_smoke`, `pipeline_baseline`).
+//! writing for the `darkside-bench` binaries.
 
 use darkside_core::trace::Json;
 use darkside_core::{LevelReport, PipelineReport, PolicyGridReport};

@@ -13,8 +13,7 @@
 //! The scoring interface: the decoder consumes per-frame **acoustic costs**
 //! (−log probabilities, scaled), produced in batch from
 //! [`darkside_nn::Scores`] so the whole utterance's DNN work is one batched
-//! [`darkside_nn::FrameScorer::score_frames`] call — the amortization the
-//! ISSUE 1 `batched_score` bench measures.
+//! [`darkside_nn::FrameScorer::score_frames`] call.
 
 pub mod policy;
 pub mod search;

@@ -20,8 +20,8 @@
 //! the same binary runs on any machine and still uses 256-bit FMAs where the
 //! hardware has them.
 //!
-//! [`gemm_naive`] / [`gemv_naive`] are the permanent correctness oracle and
-//! perf baseline (`darkside-bench` reports speedups against them). Floating
+//! [`gemm_naive`] / [`gemv_naive`] are the permanent correctness oracle
+//! (`tests/gemm_prop.rs` checks the blocked kernel against them). Floating
 //! point caveat: the blocked kernel sums strictly in `k` order per output
 //! element, like the naive loop, but the FMA path contracts multiply+add, so
 //! results agree to ~1e-6 relative, not bitwise — tests use the 1e-4 relative

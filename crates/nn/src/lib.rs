@@ -9,8 +9,9 @@
 //! uses, so dense and pruned models are interchangeable downstream.
 //!
 //! The naive triple-loop kernels ([`gemm_naive`], [`gemv_naive`]) are kept
-//! in-tree permanently as the correctness oracle and the perf baseline that
-//! `darkside-bench` measures speedups against.
+//! in-tree permanently as the correctness oracles the property tests
+//! (`tests/gemm_prop.rs`, `darkside-pruning`'s `tests/csr_prop.rs`) check
+//! the optimized kernels against.
 //!
 //! No external dependencies: [`rng`] is a seeded SplitMix64 (the `rand`
 //! stand-in of DESIGN.md §6) and [`check`] is the randomized-case test

@@ -3,8 +3,7 @@
 //! Scoring goes through the [`crate::FrameScorer`] trait (ISSUE 2 API
 //! redesign): `Mlp` implements it with one GEMM per layer for the whole
 //! utterance, so every weight matrix is traversed **once per utterance**
-//! instead of once per frame — the batching win `darkside-bench`'s
-//! `batched_score` bench measures.
+//! instead of once per frame.
 
 use crate::layers::{Affine, Layer};
 use crate::matrix::Matrix;

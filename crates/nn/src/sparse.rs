@@ -26,8 +26,10 @@
 //! contributes `±0.0`, which never changes a finite accumulation. The
 //! result: CSR, BSR, and a masked-dense reference that skips pruned
 //! weights produce **bit-identical** outputs (`f32::to_bits`), so a served
-//! hypothesis stream is provably independent of the storage format — the
-//! property `darkside-pruning`'s `bsr_prop` tests pin.
+//! hypothesis stream is provably independent of the storage format. The
+//! scalar oracle is `masked_spmm_ref` in `darkside-pruning`'s
+//! `tests/bsr_prop.rs` (`bsr_spmm_bit_exact_vs_csr_and_masked_dense`
+//! pins `Csr::spmm` and `Bsr::spmm` to it over random shapes).
 
 use crate::gemm::{accumulate_tile, timed_kernel, MR, NR, PARALLEL_FLOP_THRESHOLD};
 

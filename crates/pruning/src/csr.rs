@@ -147,8 +147,8 @@ impl Csr {
         m
     }
 
-    /// Sparse mat-vec: `y = S · x`. One gather-dot per row; the kernel the
-    /// `spmv` bench race against [`darkside_nn::gemv_naive`].
+    /// Sparse mat-vec: `y = S · x`. One gather-dot per row; `tests/csr_prop.rs`
+    /// checks it against the dense [`darkside_nn::gemv_naive`].
     pub fn spmv(&self, x: &[f32], y: &mut [f32]) {
         assert_eq!(x.len(), self.cols, "spmv: x length");
         assert_eq!(y.len(), self.rows, "spmv: y length");
@@ -165,8 +165,9 @@ impl Csr {
 
     /// Sparse mat-mat: `C = S · B` (`B` is `cols × n` row-major dense) via
     /// the quad-unrolled, thread-banded [`darkside_nn::csr_spmm`] kernel.
-    /// Bit-identical to [`spmm_reference`](Self::spmm_reference): the kernel
-    /// preserves the ascending-column accumulation order per C element.
+    /// The kernel preserves the ascending-column accumulation order per C
+    /// element, so it is bit-identical to the scalar masked-dense loop —
+    /// `masked_spmm_ref` in `tests/bsr_prop.rs` pins that to `f32::to_bits`.
     pub fn spmm(&self, b: &Matrix, c: &mut Matrix) {
         assert_eq!(b.rows(), self.cols, "spmm: inner dimension");
         assert_eq!(c.rows(), self.rows, "spmm: output rows");
@@ -181,31 +182,6 @@ impl Csr {
             b.as_slice(),
             c.as_mut_slice(),
         );
-    }
-
-    /// The pre-ISSUE-6 scalar single-threaded SpMM, kept in-tree permanently
-    /// as the correctness oracle and the "before" baseline that
-    /// `darkside-bench` measures the vectorized kernel's speedup against
-    /// (same role as [`darkside_nn::gemm_naive`] for GEMM).
-    pub fn spmm_reference(&self, b: &Matrix, c: &mut Matrix) {
-        assert_eq!(b.rows(), self.cols, "spmm: inner dimension");
-        assert_eq!(c.rows(), self.rows, "spmm: output rows");
-        assert_eq!(c.cols(), b.cols(), "spmm: output cols");
-        let n = b.cols();
-        for i in 0..self.rows {
-            let (cols, vals) = self.row(i);
-            let crow = c.row_mut(i);
-            crow.fill(0.0);
-            if n == 0 {
-                continue;
-            }
-            for (&j, &v) in cols.iter().zip(vals) {
-                let brow = b.row(j as usize);
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += v * bv;
-                }
-            }
-        }
     }
 }
 

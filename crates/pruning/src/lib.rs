@@ -4,9 +4,7 @@
 //! (per-layer threshold = quality × stddev of the layer's weights, with the
 //! single global quality parameter searched to hit a target sparsity), CSR
 //! export of pruned weight matrices, and the CSR SpMV/SpMM kernels that the
-//! DNN accelerator model consumes. At the paper's sparsity levels (≥70 %)
-//! the CSR kernels beat the dense GEMV baseline — `darkside-bench`'s `spmv`
-//! bench records the crossover.
+//! DNN accelerator model consumes.
 //!
 //! ISSUE 6 adds the structured fast path: [`blocked`] prunes in
 //! register-tile-aligned `r×c` blocks (selectable [`PruneStructure`],

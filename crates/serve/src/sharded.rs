@@ -779,7 +779,9 @@ fn degraded(bundle: &ModelBundle) -> ModelBundle {
 mod tests {
     use super::*;
     use darkside_core::{Pipeline, PipelineConfig, ServableSpec};
-    use darkside_nn::Rng;
+    use darkside_nn::{FrameScorer, Rng, Scores};
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     /// An untrained smoke pipeline: model quality is irrelevant to the
     /// scheduler mechanics, and skipping training keeps these tests fast.
@@ -878,6 +880,78 @@ mod tests {
             engine.admission().rejections(RejectReason::SessionBudget),
             2
         );
+    }
+
+    /// Burns a fixed per-frame busy-wait on top of the real model, so the
+    /// frame-latency tail blows an SLO deterministically.
+    struct SlowScorer {
+        inner: Arc<dyn FrameScorer + Send + Sync>,
+        spin_ns_per_frame: u64,
+    }
+
+    impl FrameScorer for SlowScorer {
+        fn input_dim(&self) -> usize {
+            self.inner.input_dim()
+        }
+
+        fn num_classes(&self) -> usize {
+            self.inner.num_classes()
+        }
+
+        fn score_frames(&self, frames: &[Frame]) -> Scores {
+            let start = Instant::now();
+            let out = self.inner.score_frames(frames);
+            let budget = Duration::from_nanos(self.spin_ns_per_frame * frames.len() as u64);
+            while start.elapsed() < budget {
+                std::hint::spin_loop();
+            }
+            out
+        }
+    }
+
+    #[test]
+    fn slo_breach_sheds_offers_and_drains_what_was_admitted() {
+        // A 0.05 ms/frame p99 target against a scorer that burns 0.4
+        // ms/frame: once the warmup samples exist, every new offer is past
+        // 2× the target and must be shed with the typed SloBreach reason,
+        // while the sessions admitted during warmup still drain.
+        let bundle = test_bundle();
+        let slow = ModelBundle {
+            scorer: Arc::new(SlowScorer {
+                inner: bundle.scorer.clone(),
+                spin_ns_per_frame: 400_000,
+            }),
+            ..bundle.clone()
+        };
+        let utts = utterances(&bundle, 24, 8, 0x5105);
+        let mut engine = ShardedScheduler::build(
+            slow,
+            ServeConfig::default()
+                .with_shards(1)
+                .with_max_sessions(utts.len())
+                .with_max_queue_frames(1 << 20)
+                .with_degrade_fraction(1.0)
+                .with_slo_p99_ms(0.05),
+        )
+        .unwrap();
+        let mut slo_shed = 0;
+        let mut other_rejects = 0;
+        for u in utts {
+            match engine.offer(u) {
+                Ok(_) => {}
+                Err(e) if e.reject_reason() == Some(RejectReason::SloBreach) => slo_shed += 1,
+                Err(_) => other_rejects += 1,
+            }
+            // Step between offers so latency evidence accumulates while
+            // load is still arriving.
+            engine.step().unwrap();
+        }
+        let drained = engine.drain().unwrap().len() as u64;
+        let admission = engine.admission();
+        assert!(slo_shed > 0, "no offer was shed on SLO breach");
+        assert_eq!(other_rejects, 0, "offers rejected for a non-SLO reason");
+        assert_eq!(admission.rejections(RejectReason::SloBreach), slo_shed);
+        assert_eq!(drained, admission.admitted() + admission.degraded());
     }
 
     #[test]

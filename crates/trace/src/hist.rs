@@ -5,10 +5,9 @@
 //! bucket width (`2^(1/4) ≈ 19 %`) while storage stays a fixed few hundred
 //! counters regardless of sample count — the same trade HdrHistogram makes.
 //! Quantiles are nearest-rank over the bucket counts, clamped to the
-//! observed `[min, max]` (the median/MAD discipline of
-//! `darkside_bench::harness` picks robust central values; this adds the
-//! tail view — p95/p99/max — that means and medians both hide, which is
-//! exactly the per-frame distribution the paper's Figs. 5–7 argue from).
+//! observed `[min, max]`. The tail view — p95/p99/max — is what means and
+//! medians both hide, and it is exactly the per-frame distribution the
+//! paper's Figs. 5–7 argue from.
 
 use crate::json::Json;
 

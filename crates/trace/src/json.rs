@@ -1,6 +1,9 @@
 //! Minimal JSON value + renderer (the `serde_json` stand-in of DESIGN.md
-//! §6 — the build environment is offline, so artifact output is hand-rolled
-//! like `darkside_bench::harness::BenchResult::to_json`, but reusable).
+//! §6 — the build environment is offline). Every JSON document the
+//! workspace writes — run reports, telemetry snapshots, the experiment
+//! binaries' `--json` output — is built as a [`Json`] value and rendered
+//! here; only `JsonlRecorder`'s fixed-shape event lines are formatted in
+//! place, to keep the per-event hot path allocation-free.
 //!
 //! Objects preserve insertion order so rendered reports read in the order
 //! the producer assembled them (stage order, table order).

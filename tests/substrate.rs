@@ -1,8 +1,7 @@
 //! Cross-crate integration tests for the ISSUE 1 compute substrate.
 //!
-//! These live on the root `darkside` package so the tier-1 verify
-//! (`cargo build --release && cargo test -q`, which tests the root package)
-//! exercises the hot paths end to end: blocked/parallel GEMM against the
+//! These live on the root `darkside` package and exercise the hot paths
+//! end to end across crates: blocked/parallel GEMM against the
 //! naive oracle, CSR sparse kernels against dense, and batched frame scoring
 //! through a pruned-and-rebuilt layer.
 
