@@ -75,10 +75,9 @@ impl ModelBundle {
 }
 
 /// What to export from a [`Pipeline`] as a [`ModelBundle`] — the single
-/// servable-export surface (ISSUE 7 API redesign, replacing the old
-/// `servable_dense` / `servable_pruned` / `servable_pruned_structured`
-/// trio). Start from [`ServableSpec::dense`] or [`ServableSpec::pruned`]
-/// and override only what differs from the pipeline's own configuration:
+/// servable-export surface. Start from [`ServableSpec::dense`] or
+/// [`ServableSpec::pruned`] and override only what differs from the
+/// pipeline's own configuration:
 ///
 /// ```ignore
 /// let bundle = pipeline.servable(
@@ -173,11 +172,12 @@ impl ServableSpec {
 }
 
 impl Pipeline {
-    /// Export a servable [`ModelBundle`] per `spec` (shares the decoding
-    /// graph; dense export clones the model once into the `Arc`, pruned
-    /// export runs prune + masked retraining). Fails fast — bad sparsity
-    /// targets, dense+structure contradictions, and unbuildable policy
-    /// geometry all error here, not on a serving thread mid-session.
+    /// Export a servable [`ModelBundle`] per `spec` through the same scorer
+    /// factory the study's rows come from (shares the decoding graph; dense
+    /// export clones the model once into the `Arc`, pruned export runs
+    /// prune + masked retraining). Fails fast — bad sparsity targets,
+    /// dense+structure contradictions, and unbuildable policy geometry all
+    /// error here, not on a serving thread mid-session.
     pub fn servable(&self, spec: ServableSpec) -> Result<ModelBundle, Error> {
         let policy = spec.policy.unwrap_or(self.config.policy);
         let beam = spec.beam.unwrap_or(self.config.beam);
@@ -185,62 +185,38 @@ impl Pipeline {
         // session later, on scheduler threads).
         policy.build(&beam)?;
 
-        let (scorer, label, structure, sparsity): (Arc<dyn FrameScorer + Send + Sync>, _, _, _) =
-            if spec.sparsity == 0.0 {
-                if let Some(structure) = spec.structure {
-                    return Err(Error::config(
-                        "ServableSpec",
-                        format!(
-                            "dense export cannot carry a pruning structure ({})",
-                            structure.label()
-                        ),
-                    ));
-                }
-                if let Some(epochs) = spec.retrain {
-                    return Err(Error::config(
-                        "ServableSpec",
-                        format!("dense export cannot carry a retrain override ({epochs} epochs)"),
-                    ));
-                }
-                let scorer: Arc<dyn FrameScorer + Send + Sync> = match spec.precision {
-                    Precision::F32 => Arc::new(self.model.clone()),
-                    Precision::Int8 => Arc::new(self.quantize_dense()?),
-                };
-                (
-                    scorer,
-                    "dense".to_string(),
-                    PruneStructure::Unstructured.label(),
-                    0.0,
-                )
-            } else {
-                if !(spec.sparsity > 0.0 && spec.sparsity < 1.0) {
-                    return Err(Error::config(
-                        "ServableSpec",
-                        format!("sparsity target {} outside (0, 1)", spec.sparsity),
-                    ));
-                }
-                let structure = spec.structure.unwrap_or(self.config.structure);
-                let retrain = spec.retrain.unwrap_or(self.config.retrain_epochs);
-                let (scorer, achieved): (Arc<dyn FrameScorer + Send + Sync>, f64) =
-                    match spec.precision {
-                        Precision::F32 => {
-                            let (pruned, achieved) =
-                                self.prune_with_retrain(spec.sparsity, structure, retrain)?;
-                            (Arc::new(pruned), achieved)
-                        }
-                        Precision::Int8 => {
-                            let (quantized, achieved) =
-                                self.quantize_pruned(spec.sparsity, structure, retrain)?;
-                            (Arc::new(quantized), achieved)
-                        }
-                    };
-                (
-                    scorer,
-                    format!("{:.0}%", spec.sparsity * 100.0),
-                    structure.label(),
-                    achieved,
-                )
-            };
+        let (label, structure, retrain) = if spec.sparsity == 0.0 {
+            if let Some(structure) = spec.structure {
+                return Err(Error::config(
+                    "ServableSpec",
+                    format!(
+                        "dense export cannot carry a pruning structure ({})",
+                        structure.label()
+                    ),
+                ));
+            }
+            if let Some(epochs) = spec.retrain {
+                return Err(Error::config(
+                    "ServableSpec",
+                    format!("dense export cannot carry a retrain override ({epochs} epochs)"),
+                ));
+            }
+            ("dense".to_string(), PruneStructure::Unstructured, 0)
+        } else {
+            if !(spec.sparsity > 0.0 && spec.sparsity < 1.0) {
+                return Err(Error::config(
+                    "ServableSpec",
+                    format!("sparsity target {} outside (0, 1)", spec.sparsity),
+                ));
+            }
+            (
+                format!("{:.0}%", spec.sparsity * 100.0),
+                spec.structure.unwrap_or(self.config.structure),
+                spec.retrain.unwrap_or(self.config.retrain_epochs),
+            )
+        };
+        let masked = self.mask(spec.sparsity, structure, retrain);
+        let scorer = self.export(&masked, spec.precision)?;
         Ok(ModelBundle {
             graph: self.graph.source(),
             graph_kind: self.graph.kind(),
@@ -248,9 +224,9 @@ impl Pipeline {
             beam,
             policy,
             label,
-            structure,
+            structure: structure.label(),
             precision: spec.precision,
-            sparsity,
+            sparsity: masked.sparsity(),
             dense_hyps_baseline: self.dense_hyps_baseline(&beam)?,
         })
     }

@@ -1,15 +1,14 @@
 //! # darkside-core — the ASR system façade
 //!
-//! DESIGN.md §3: glues the substrate crates into the paper's evaluation —
-//! the {Baseline, Beam, NBest} × {NP, 70, 80, 90} configuration grid of
-//! Figs. 11/12, the artifact cache, and the experiment runner.
+//! DESIGN.md §3: glues the substrate crates into the paper's evaluation.
 //!
 //! The grid enumeration below is the coordinate system EXPERIMENTS.md
 //! reports in; the end-to-end system behind it lives in [`pipeline`]:
 //! build a [`pipeline::Pipeline`] from a [`pipeline::PipelineConfig`]
-//! (builder-style `with_*` methods, `default_scaled()` = DESIGN.md §4b)
-//! and call [`pipeline::Pipeline::run`] for the full corpus → train →
-//! prune → decode study.
+//! (builder-style `with_*` methods, `default_scaled()` = DESIGN.md §4b),
+//! then call [`pipeline::Pipeline::run_policy_grid`] for the corpus →
+//! train → prune → decode study or [`pipeline::Pipeline::servable`] to
+//! export one scorer for serving.
 
 pub mod bundle;
 pub mod pipeline;

@@ -1,13 +1,17 @@
-//! The redesigned pipeline façade (ISSUE 2 tentpole): corpus → train →
-//! prune → decode behind one builder-configured entry point.
+//! The pipeline façade: corpus → train → prune → decode behind one
+//! builder-configured entry point.
 //!
 //! `PipelineConfig::default_scaled()` is the DESIGN.md §4b operating point;
 //! `with_*` methods shrink or reshape it (the CI smoke test and the
-//! experiment bins share this one type). [`Pipeline::run`] executes the
-//! whole study — train the dense model, evaluate it, then for each pruning
-//! level: prune (global-quality bisection), masked-retrain, re-evaluate
-//! through the *same* [`FrameScorer`]-driven decode path — and returns the
-//! per-level [`LevelReport`]s that EXPERIMENTS.md tables are printed from.
+//! experiment bins share this one type). Every scored model — a study row
+//! or a servable export — comes from one factory: `Pipeline::mask`
+//! prunes and masked-retrains once per (target, structure, retrain), and
+//! `Pipeline::export` serves that masked model at a [`Precision`].
+//! [`Pipeline::run_policy_grid`] walks the dense row and every pruning
+//! level through that factory and decodes each scorer through the *same*
+//! [`FrameScorer`]-driven path; [`Pipeline::run`] is that grid under the
+//! configured policy alone, flattened to the [`LevelReport`]s that
+//! EXPERIMENTS.md tables are printed from.
 
 use crate::{acoustic, decoder, nn, pruning, quant, wfst, PolicyKind};
 use acoustic::{training_set, Corpus, CorpusConfig, Utterance};
@@ -15,8 +19,9 @@ use darkside_error::Error;
 use darkside_trace::{self as trace, Json};
 use decoder::{acoustic_costs, decode_with_policy, BeamConfig, WerStats};
 use nn::{evaluate, FrameScorer, Matrix, Mlp, Precision, Rng, SgdConfig, Trainer};
-use pruning::{prune_mlp_to_sparsity_structured, ModelPruneResult, PruneStructure, PrunedMlp};
+use pruning::{prune_mlp_to_sparsity, ModelPruneResult, PruneStructure, PrunedMlp};
 use quant::{calibrate_mlp, QuantizedMlp};
+use std::borrow::Cow;
 use std::rc::Rc;
 use std::sync::Arc;
 use wfst::{
@@ -76,19 +81,17 @@ pub struct PipelineConfig {
     pub prune_levels: Vec<f64>,
     /// Sparsity structure for the *structured* comparison rows (ISSUE 6).
     /// [`PruneStructure::Unstructured`] (the default) reproduces the
-    /// original study; any block structure makes [`Pipeline::run`] /
-    /// [`Pipeline::run_policy_grid`] emit an extra BSR-served row per
-    /// pruning level so structured-vs-unstructured WER is read off at equal
-    /// sparsity.
+    /// original study; any block structure adds a BSR-served row per
+    /// pruning level, so structured-vs-unstructured WER is read off at
+    /// equal sparsity.
     pub structure: PruneStructure,
     /// Decoding-graph mode, lazy-memo budget, and grammar pruning (ISSUE 8).
     pub graph: GraphConfig,
     /// Scoring precision for the *quantized* comparison rows (ISSUE 10).
     /// [`Precision::F32`] (the default) reproduces the original study;
-    /// [`Precision::Int8`] makes [`Pipeline::run`] /
-    /// [`Pipeline::run_policy_grid`] emit an extra int8-served row per
-    /// level (and for dense) so quantized-vs-f32 WER is read off at equal
-    /// sparsity — the same ride-along pattern as `structure`.
+    /// [`Precision::Int8`] adds an int8-served row for dense and per level,
+    /// quantized from the same masked model as the f32 row on the
+    /// configured structure.
     pub precision: Precision,
     /// Seed for model init, training shuffles, and train/test sampling.
     pub seed: u64,
@@ -662,9 +665,10 @@ impl Pipeline {
         Ok(baseline)
     }
 
-    /// The held-out test set every [`Pipeline::evaluate_scorer`] call
-    /// decodes (fixed at build time, so eager and lazy pipelines built from
-    /// the same config score identical utterances).
+    /// The held-out test set every
+    /// [`Pipeline::evaluate_scorer_with_policy`] call decodes (fixed at
+    /// build time, so eager and lazy pipelines built from the same config
+    /// score identical utterances).
     pub fn test_set(&self) -> &[Utterance] {
         &self.test_set
     }
@@ -675,26 +679,17 @@ impl Pipeline {
         self.grammar_prune.as_ref()
     }
 
-    /// Decode the held-out set through `scorer` under the run's configured
-    /// policy. Every score — dense or pruned — flows through this one
-    /// path, so level comparisons differ only in the [`FrameScorer`]
-    /// behind them.
-    pub fn evaluate_scorer(
-        &self,
-        label: &str,
-        sparsity: f64,
-        scorer: &dyn FrameScorer,
-    ) -> Result<LevelReport, Error> {
-        self.evaluate_scorer_with_policy(label, sparsity, scorer, &self.config.policy)
-    }
-
-    /// [`Pipeline::evaluate_scorer`] under an explicit [`PolicyKind`] —
-    /// the per-cell worker of [`Pipeline::run_policy_grid`]. A fresh
-    /// policy value is built per utterance (policies carry per-utterance
-    /// storage state and traffic counters).
+    /// Decode the held-out set through `scorer` under `kind` and report it
+    /// as one row labelled `label` / `structure` / `precision`. Every score
+    /// — dense, pruned or quantized — flows through this one path, so rows
+    /// differ only in the [`FrameScorer`] behind them. A fresh policy value
+    /// is built per utterance (policies carry per-utterance storage state
+    /// and traffic counters).
     pub fn evaluate_scorer_with_policy(
         &self,
         label: &str,
+        structure: PruneStructure,
+        precision: Precision,
         sparsity: f64,
         scorer: &dyn FrameScorer,
         kind: &PolicyKind,
@@ -776,8 +771,8 @@ impl Pipeline {
         Ok(LevelReport {
             label: label.to_string(),
             policy: kind.label().to_string(),
-            structure: PruneStructure::Unstructured.label(),
-            precision: Precision::F32.label().to_string(),
+            structure: structure.label(),
+            precision: precision.label().to_string(),
             sparsity,
             mean_confidence: confidence / frames as f64,
             frame_accuracy: correct as f64 / frames as f64,
@@ -802,53 +797,30 @@ impl Pipeline {
         })
     }
 
-    /// Prune the dense model to `target` global sparsity, masked-retrain,
-    /// and return the CSR-backed scorer plus its achieved sparsity.
-    pub fn prune_to(&self, target: f64) -> Result<(PrunedMlp, f64), Error> {
-        self.prune_to_structured(target, PruneStructure::Unstructured)
-    }
-
-    /// [`Pipeline::prune_to`] under an explicit [`PruneStructure`]: block
-    /// structures prune whole serving tiles and come back BSR-served; the
-    /// masked-retraining loop re-projects onto the structured support, so
-    /// retrained weights stay tile-aligned.
-    pub fn prune_to_structured(
-        &self,
-        target: f64,
-        structure: PruneStructure,
-    ) -> Result<(PrunedMlp, f64), Error> {
-        self.prune_with_retrain(target, structure, self.config.retrain_epochs)
-    }
-
-    /// [`Pipeline::prune_to_structured`] with an explicit masked-retraining
-    /// budget instead of the configured one. Zero epochs exports the raw
-    /// prune-and-ship artifact ([`crate::ServableSpec::with_retrain`]).
-    pub(crate) fn prune_with_retrain(
+    /// Step one of the scorer factory: the trained dense model pruned to
+    /// `target` global sparsity under `structure`, then masked-retrained for
+    /// `retrain_epochs` (zero ships the raw prune —
+    /// [`crate::ServableSpec::with_retrain`]). A zero target is the
+    /// identity: the dense model itself, unmasked. Block structures prune
+    /// whole serving tiles, and retraining re-projects every update onto
+    /// the pruned support, so retrained weights stay tile-aligned.
+    pub(crate) fn mask(
         &self,
         target: f64,
         structure: PruneStructure,
         retrain_epochs: usize,
-    ) -> Result<(PrunedMlp, f64), Error> {
-        let (model, result) = self.prune_model_with_retrain(target, structure, retrain_epochs)?;
-        let pruned = PrunedMlp::from_prune_result_structured(&model, &result, structure);
-        Ok((pruned, result.sparsity))
-    }
-
-    /// The prune + masked-retrain core, returning the *masked dense* model
-    /// alongside the prune result instead of compressing it straight to a
-    /// sparse scorer — int8 quantization (ISSUE 10) reads the masked dense
-    /// weights, so both the sparse and the quantized exports build from
-    /// this one artifact and stay weight-identical.
-    pub(crate) fn prune_model_with_retrain(
-        &self,
-        target: f64,
-        structure: PruneStructure,
-        retrain_epochs: usize,
-    ) -> Result<(Mlp, ModelPruneResult), Error> {
+    ) -> MaskedModel<'_> {
+        if target == 0.0 {
+            return MaskedModel {
+                mlp: Cow::Borrowed(&self.model),
+                structure: PruneStructure::Unstructured,
+                prune: None,
+            };
+        }
         let mut model = self.model.clone();
         let result = {
             let _s = trace::span!("prune");
-            let result = prune_mlp_to_sparsity_structured(&model, target, 0.005, structure);
+            let result = prune_mlp_to_sparsity(&model, target, 0.005, structure);
             result.apply(&mut model);
             result
         };
@@ -880,7 +852,36 @@ impl Pipeline {
                 trainer.end_epoch();
             }
         }
-        Ok((model, result))
+        MaskedModel {
+            mlp: Cow::Owned(model),
+            structure,
+            prune: Some(result),
+        }
+    }
+
+    /// Step two of the scorer factory: serve `masked` at `precision`. F32
+    /// serves the dense [`Mlp`] or a [`PrunedMlp`] (CSR, or BSR for block
+    /// structures). Int8 calibrates activation scales on the masked model —
+    /// the activations int8 serving will actually see — then stores every
+    /// affine layer as quantized BSR (8×8 tile structure) or packed dense
+    /// i8 (everything else).
+    pub(crate) fn export(
+        &self,
+        masked: &MaskedModel<'_>,
+        precision: Precision,
+    ) -> Result<Arc<dyn FrameScorer + Send + Sync>, Error> {
+        let mlp = masked.mlp.as_ref();
+        Ok(match (precision, &masked.prune) {
+            (Precision::F32, None) => Arc::new(mlp.clone()),
+            (Precision::F32, Some(prune)) => {
+                Arc::new(PrunedMlp::from_masked(mlp, &prune.masks, masked.structure))
+            }
+            (Precision::Int8, _) => {
+                let _s = trace::span!("quantize");
+                let calib = calibrate_mlp(mlp, &self.calibration_features());
+                Arc::new(QuantizedMlp::quantize(mlp, &calib, masked.structure)?)
+            }
+        })
     }
 
     /// Features for activation-scale calibration (ISSUE 10): a small fixed
@@ -897,74 +898,12 @@ impl Pipeline {
         features
     }
 
-    /// Quantize the dense model to int8 (ISSUE 10): calibrate activation
-    /// scales on the training distribution, then store every affine layer
-    /// as packed dense i8.
-    pub fn quantize_dense(&self) -> Result<QuantizedMlp, Error> {
-        let _s = trace::span!("quantize");
-        let calib = calibrate_mlp(&self.model, &self.calibration_features());
-        QuantizedMlp::quantize(&self.model, &calib, PruneStructure::Unstructured)
-    }
-
-    /// Prune to `target` under `structure` (with masked retraining), then
-    /// quantize the masked dense model to int8 — tile structures come back
-    /// served from quantized BSR, everything else from packed dense i8.
-    /// Calibration runs on the *pruned* model, so activation scales match
-    /// the activations int8 serving will actually see.
-    pub fn quantize_pruned(
-        &self,
-        target: f64,
-        structure: PruneStructure,
-        retrain_epochs: usize,
-    ) -> Result<(QuantizedMlp, f64), Error> {
-        let (model, result) = self.prune_model_with_retrain(target, structure, retrain_epochs)?;
-        let _s = trace::span!("quantize");
-        let calib = calibrate_mlp(&model, &self.calibration_features());
-        let quantized = QuantizedMlp::quantize(&model, &calib, structure)?;
-        Ok((quantized, result.sparsity))
-    }
-
-    /// The one-call study: dense evaluation, then every configured pruning
-    /// level through the identical decode path. With a block
-    /// [`PipelineConfig::structure`] configured, each level additionally
-    /// gets a structured (BSR-served) row at the same target, so the
-    /// structured-vs-unstructured WER gap is read off the report directly.
+    /// The one-call study: [`Pipeline::run_policy_grid`] under the
+    /// configured policy alone, flattened to one row per scorer.
     pub fn run(&self) -> Result<PipelineReport, Error> {
-        let quantized = self.config.precision == Precision::Int8;
-        let mut levels = vec![self.evaluate_scorer("dense", 0.0, &self.model)?];
-        if quantized {
-            let q = self.quantize_dense()?;
-            let mut row = self.evaluate_scorer("dense", 0.0, &q)?;
-            row.precision = Precision::Int8.label().to_string();
-            levels.push(row);
-        }
-        for &target in &self.config.prune_levels {
-            let (pruned, sparsity) = self.prune_to(target)?;
-            let label = format!("{:.0}%", target * 100.0);
-            levels.push(self.evaluate_scorer(&label, sparsity, &pruned)?);
-            if self.config.structure != PruneStructure::Unstructured {
-                let (pruned, sparsity) = self.prune_to_structured(target, self.config.structure)?;
-                let mut row = self.evaluate_scorer(&label, sparsity, &pruned)?;
-                row.structure = self.config.structure.label();
-                levels.push(row);
-            }
-            if quantized {
-                // Quantize on the configured structure, so the int8 row is
-                // the direct precision ablation of the structure row above
-                // it (same masked weights, same sparsity).
-                let (q, sparsity) = self.quantize_pruned(
-                    target,
-                    self.config.structure,
-                    self.config.retrain_epochs,
-                )?;
-                let mut row = self.evaluate_scorer(&label, sparsity, &q)?;
-                row.structure = self.config.structure.label();
-                row.precision = Precision::Int8.label().to_string();
-                levels.push(row);
-            }
-        }
+        let grid = self.run_policy_grid(&[self.config.policy])?;
         Ok(PipelineReport {
-            levels,
+            levels: grid.levels.into_iter().flat_map(|l| l.per_policy).collect(),
             train_frames: self.train_frames,
             test_frames: self.test_set.iter().map(|u| u.frames.len()).sum(),
             graph_kind: self.graph.kind().label().to_string(),
@@ -1006,72 +945,35 @@ impl Pipeline {
         Ok((pipeline, report, run))
     }
 
-    /// Per-level × per-policy sweep: prune once per level, then decode the
-    /// same pruned scorer under every policy in `policies` (so the columns
+    /// The study: the dense row, then every configured pruning level, each
+    /// scorer decoded under every policy in `policies` (so the columns
     /// differ only in hypothesis admission, never in the acoustic model).
-    /// With a block [`PipelineConfig::structure`], each pruned level gains a
-    /// structured row — the equal-sparsity WER comparison across every
-    /// policy column at once.
+    /// Each level is pruned and retrained once per structure — unstructured,
+    /// plus [`PipelineConfig::structure`] when that is a block structure,
+    /// giving the equal-sparsity structured-vs-unstructured comparison.
+    /// With [`Precision::Int8`] configured, the dense model and each level's
+    /// configured-structure model are also exported int8 from the same
+    /// masked weights: the equal-sparsity precision ablation.
     pub fn run_policy_grid(&self, policies: &[PolicyKind]) -> Result<PolicyGridReport, Error> {
         let unstructured = PruneStructure::Unstructured;
-        let quantized = self.config.precision == Precision::Int8;
-        let mut levels = vec![self.grid_level(
-            "dense",
-            unstructured,
-            Precision::F32,
-            0.0,
-            &self.model,
-            policies,
-        )?];
-        if quantized {
-            let q = self.quantize_dense()?;
-            levels.push(self.grid_level(
-                "dense",
-                unstructured,
-                Precision::Int8,
-                0.0,
-                &q,
-                policies,
-            )?);
-        }
-        for &target in &self.config.prune_levels {
-            let (pruned, sparsity) = self.prune_to(target)?;
-            let label = format!("{:.0}%", target * 100.0);
-            levels.push(self.grid_level(
-                &label,
-                unstructured,
-                Precision::F32,
-                sparsity,
-                &pruned,
-                policies,
-            )?);
-            if self.config.structure != unstructured {
-                let (pruned, sparsity) = self.prune_to_structured(target, self.config.structure)?;
-                levels.push(self.grid_level(
-                    &label,
-                    self.config.structure,
-                    Precision::F32,
-                    sparsity,
-                    &pruned,
-                    policies,
-                )?);
+        let int8 = self.config.precision == Precision::Int8;
+        let targets = std::iter::once(0.0).chain(self.config.prune_levels.iter().copied());
+        let mut levels = Vec::new();
+        for (rung, target) in targets.enumerate() {
+            let label = match rung {
+                0 => "dense".to_string(),
+                _ => format!("{:.0}%", target * 100.0),
+            };
+            let mut structures = vec![unstructured];
+            if rung > 0 && self.config.structure != unstructured {
+                structures.push(self.config.structure);
             }
-            if quantized {
-                // Equal-sparsity precision ablation: same masked weights as
-                // the f32 row on the configured structure, stored int8.
-                let (q, sparsity) = self.quantize_pruned(
-                    target,
-                    self.config.structure,
-                    self.config.retrain_epochs,
-                )?;
-                levels.push(self.grid_level(
-                    &label,
-                    self.config.structure,
-                    Precision::Int8,
-                    sparsity,
-                    &q,
-                    policies,
-                )?);
+            for (i, &structure) in structures.iter().enumerate() {
+                let masked = self.mask(target, structure, self.config.retrain_epochs);
+                levels.push(self.grid_level(&label, &masked, Precision::F32, policies)?);
+                if int8 && i + 1 == structures.len() {
+                    levels.push(self.grid_level(&label, &masked, Precision::Int8, policies)?);
+                }
             }
         }
         Ok(PolicyGridReport {
@@ -1083,28 +985,48 @@ impl Pipeline {
     fn grid_level(
         &self,
         label: &str,
-        structure: PruneStructure,
+        masked: &MaskedModel<'_>,
         precision: Precision,
-        sparsity: f64,
-        scorer: &dyn FrameScorer,
         policies: &[PolicyKind],
     ) -> Result<PolicyGridLevel, Error> {
+        let scorer = self.export(masked, precision)?;
+        let sparsity = masked.sparsity();
         let per_policy = policies
             .iter()
             .map(|kind| {
-                let mut row = self.evaluate_scorer_with_policy(label, sparsity, scorer, kind)?;
-                row.structure = structure.label();
-                row.precision = precision.label().to_string();
-                Ok::<_, Error>(row)
+                self.evaluate_scorer_with_policy(
+                    label,
+                    masked.structure,
+                    precision,
+                    sparsity,
+                    scorer.as_ref(),
+                    kind,
+                )
             })
             .collect::<Result<Vec<_>, _>>()?;
         Ok(PolicyGridLevel {
             label: label.to_string(),
-            structure: structure.label(),
+            structure: masked.structure.label(),
             precision: precision.label().to_string(),
             sparsity,
             per_policy,
         })
+    }
+}
+
+/// A scorer's weights between the factory's two steps
+/// ([`Pipeline::mask`], then [`Pipeline::export`]): the dense model, or a
+/// pruned and masked-retrained copy together with the prune that made it.
+pub(crate) struct MaskedModel<'a> {
+    mlp: Cow<'a, Mlp>,
+    structure: PruneStructure,
+    prune: Option<ModelPruneResult>,
+}
+
+impl MaskedModel<'_> {
+    /// Achieved global sparsity (0 for the dense model).
+    pub(crate) fn sparsity(&self) -> f64 {
+        self.prune.as_ref().map_or(0.0, |p| p.sparsity)
     }
 }
 

@@ -6,7 +6,9 @@
 
 use darkside_core::trace::{self, Json, JsonlRecorder, MemoryRecorder};
 use darkside_core::viterbi_accel::NBestTableConfig;
-use darkside_core::{Pipeline, PipelineConfig, PolicyKind};
+use darkside_core::{
+    Pipeline, PipelineConfig, PolicyKind, Precision, PruneStructure, ServableSpec,
+};
 use std::rc::Rc;
 
 /// A deliberately tiny traced run: the smoke corpus shrunk further, one
@@ -176,4 +178,30 @@ fn run_traced_with_a_memory_recorder_matches_the_untraced_report() {
         assert_eq!(a.evictions, b.evictions);
         assert_eq!(a.table_reads, b.table_reads);
     }
+}
+
+#[test]
+fn the_study_prunes_once_per_level_and_structure() {
+    // One level, a tile structure and int8 rows: the unstructured and the
+    // tiled f32 rows each need one prune + retrain, and the int8 row
+    // quantizes the tiled row's masked model instead of pruning again.
+    let config = tiny_traced_config()
+        .with_structure(PruneStructure::tile())
+        .with_precision(Precision::Int8);
+    let recorder = Rc::new(MemoryRecorder::new());
+    let (pipeline, report, run) = Pipeline::run_traced(config, "prune_once", recorder).unwrap();
+    assert_eq!(run.metrics.spans["prune"].count, 2);
+    assert_eq!(run.metrics.spans["retrain"].count, 2);
+
+    // servable() builds through the same factory: its int8 export of the
+    // level lands on exactly the study's int8 row sparsity.
+    let int8_row = report
+        .levels
+        .iter()
+        .find(|l| l.label == "80%" && l.precision == "int8")
+        .unwrap();
+    let bundle = pipeline
+        .servable(ServableSpec::pruned(0.8).with_precision(Precision::Int8))
+        .unwrap();
+    assert_eq!(bundle.sparsity, int8_row.sparsity);
 }

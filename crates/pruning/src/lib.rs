@@ -25,6 +25,6 @@ pub use blocked::{prune_to_sparsity_balanced, prune_to_sparsity_blocked, PruneSt
 pub use bsr::Bsr;
 pub use csr::Csr;
 pub use magnitude::{mask_for_quality, prune_to_sparsity, Mask, PruneResult};
-pub use model::{prune_mlp_to_sparsity, prune_mlp_to_sparsity_structured, ModelPruneResult};
+pub use model::{prune_mlp_to_sparsity, ModelPruneResult};
 pub use pruned_layer::{PrunedAffine, SparseWeights};
 pub use pruned_mlp::PrunedMlp;

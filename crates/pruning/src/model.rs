@@ -10,7 +10,7 @@
 
 use crate::blocked::{prune_to_sparsity_balanced, prune_to_sparsity_blocked, PruneStructure};
 use crate::magnitude::{mask_for_quality, Mask};
-use darkside_nn::{Layer, Mlp};
+use darkside_nn::{Layer, Matrix, Mlp};
 
 /// Result of the global quality search over a whole model.
 #[derive(Clone, Debug)]
@@ -45,57 +45,34 @@ impl ModelPruneResult {
     }
 }
 
-/// Masks for one global quality value, plus the global sparsity they imply.
-fn masks_at_quality(mlp: &Mlp, quality: f32) -> (Vec<Option<Mask>>, f64) {
-    let mut masks = Vec::with_capacity(mlp.layers.len());
-    let (mut kept, mut total) = (0usize, 0usize);
-    for layer in &mlp.layers {
-        match layer {
-            Layer::Affine(a) => {
-                let mask = mask_for_quality(&a.w, quality);
-                kept += mask.num_kept();
-                total += a.w.rows() * a.w.cols();
-                masks.push(Some(mask));
-            }
-            _ => masks.push(None),
-        }
-    }
-    let sparsity = if total == 0 {
+/// One mask per affine layer (`None` elsewhere), each built by `mask_for`.
+fn layer_masks(mlp: &Mlp, mut mask_for: impl FnMut(&Matrix) -> Mask) -> Vec<Option<Mask>> {
+    mlp.layers
+        .iter()
+        .map(|layer| match layer {
+            Layer::Affine(a) => Some(mask_for(&a.w)),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Global sparsity over every masked weight.
+fn global_sparsity(masks: &[Option<Mask>]) -> f64 {
+    let (kept, total) = masks.iter().flatten().fold((0usize, 0usize), |(k, t), m| {
+        (k + m.num_kept(), t + m.rows() * m.cols())
+    });
+    if total == 0 {
         0.0
     } else {
         1.0 - kept as f64 / total as f64
-    };
-    (masks, sparsity)
-}
-
-/// Bisection search for the single global quality parameter that prunes
-/// `mlp` to `target` global sparsity within `tol` (the Table I procedure).
-pub fn prune_mlp_to_sparsity(mlp: &Mlp, target: f64, tol: f64) -> ModelPruneResult {
-    assert!((0.0..1.0).contains(&target), "target sparsity in [0, 1)");
-    let (mut lo, mut hi) = (0.0f32, 8.0f32);
-    let (mut masks, mut sparsity) = masks_at_quality(mlp, lo);
-    let mut quality = lo;
-    for _ in 0..64 {
-        let mid = 0.5 * (lo + hi);
-        let (m, s) = masks_at_quality(mlp, mid);
-        (masks, sparsity, quality) = (m, s, mid);
-        if (s - target).abs() <= tol {
-            break;
-        }
-        if s < target {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    ModelPruneResult {
-        masks,
-        quality,
-        sparsity,
     }
 }
 
-/// Structured whole-model pruning at one global target.
+/// Whole-model pruning at one global `target` sparsity under `structure`.
+///
+/// `Unstructured` bisects the single global quality parameter until the
+/// global sparsity lands within `tol` of the target (the Table I
+/// procedure).
 ///
 /// [`PruneStructure`] block dims are in the *serving* orientation (`r` over
 /// output units, `c` over inputs), but masks live on the dense layer weights
@@ -104,48 +81,53 @@ pub fn prune_mlp_to_sparsity(mlp: &Mlp, target: f64, tol: f64) -> ModelPruneResu
 /// quality bisection of [`prune_to_sparsity_blocked`] layer by layer at the
 /// global target (block-norm distributions differ enough per layer that a
 /// per-layer search lands tighter than one global knob); `Balanced` fixes
-/// the kept-blocks-per-block-row count per layer. `Unstructured` falls back
-/// to [`prune_mlp_to_sparsity`].
-pub fn prune_mlp_to_sparsity_structured(
+/// the kept-blocks-per-block-row count per layer.
+pub fn prune_mlp_to_sparsity(
     mlp: &Mlp,
     target: f64,
     tol: f64,
     structure: PruneStructure,
 ) -> ModelPruneResult {
     let Some((r, c)) = structure.block_dims() else {
-        return prune_mlp_to_sparsity(mlp, target, tol);
+        assert!((0.0..1.0).contains(&target), "target sparsity in [0, 1)");
+        let (mut lo, mut hi) = (0.0f32, 8.0f32);
+        let mut masks = layer_masks(mlp, |w| mask_for_quality(w, lo));
+        let mut sparsity = global_sparsity(&masks);
+        let mut quality = lo;
+        for _ in 0..64 {
+            let mid = 0.5 * (lo + hi);
+            (masks, quality) = (layer_masks(mlp, |w| mask_for_quality(w, mid)), mid);
+            sparsity = global_sparsity(&masks);
+            if (sparsity - target).abs() <= tol {
+                break;
+            }
+            if sparsity < target {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        return ModelPruneResult {
+            masks,
+            quality,
+            sparsity,
+        };
     };
     // Serving tile r×c on Wᵀ (out×in) = block c×r on dense w (in×out).
     let (br, bc) = (c, r);
-    let balanced = matches!(structure, PruneStructure::Balanced { .. });
-    let mut masks = Vec::with_capacity(mlp.layers.len());
-    let (mut kept, mut total) = (0usize, 0usize);
     let mut quality = 0.0f32;
-    for layer in &mlp.layers {
-        match layer {
-            Layer::Affine(a) => {
-                let res = if balanced {
-                    prune_to_sparsity_balanced(&a.w, target, br, bc)
-                } else {
-                    prune_to_sparsity_blocked(&a.w, target, tol, br, bc)
-                };
-                kept += res.mask.num_kept();
-                total += a.w.rows() * a.w.cols();
-                quality = quality.max(res.quality);
-                masks.push(Some(res.mask));
-            }
-            _ => masks.push(None),
-        }
-    }
-    let sparsity = if total == 0 {
-        0.0
-    } else {
-        1.0 - kept as f64 / total as f64
-    };
+    let masks = layer_masks(mlp, |w| {
+        let res = match structure {
+            PruneStructure::Balanced { .. } => prune_to_sparsity_balanced(w, target, br, bc),
+            _ => prune_to_sparsity_blocked(w, target, tol, br, bc),
+        };
+        quality = quality.max(res.quality);
+        res.mask
+    });
     ModelPruneResult {
+        sparsity: global_sparsity(&masks),
         masks,
         quality,
-        sparsity,
     }
 }
 
@@ -163,7 +145,7 @@ mod tests {
     fn global_bisection_hits_paper_targets() {
         let mlp = model();
         for target in [0.7, 0.8, 0.9] {
-            let r = prune_mlp_to_sparsity(&mlp, target, 0.005);
+            let r = prune_mlp_to_sparsity(&mlp, target, 0.005, PruneStructure::Unstructured);
             assert!(
                 (r.sparsity - target).abs() <= 0.005,
                 "target {target}: got {}",
@@ -180,7 +162,7 @@ mod tests {
     fn structured_search_hits_targets_with_whole_serving_tiles() {
         let mlp = model();
         for structure in [PruneStructure::tile(), PruneStructure::row_vector()] {
-            let r = prune_mlp_to_sparsity_structured(&mlp, 0.9, 0.03, structure);
+            let r = prune_mlp_to_sparsity(&mlp, 0.9, 0.03, structure);
             assert!(
                 (r.sparsity - 0.9).abs() <= 0.05,
                 "{}: got {}",
@@ -205,16 +187,12 @@ mod tests {
                 }
             }
         }
-        // Unstructured passthrough matches the plain search.
-        let a = prune_mlp_to_sparsity_structured(&mlp, 0.8, 0.01, PruneStructure::Unstructured);
-        let b = prune_mlp_to_sparsity(&mlp, 0.8, 0.01);
-        assert_eq!(a.masks, b.masks);
     }
 
     #[test]
     fn lda_is_never_masked_and_apply_zeroes_the_rest() {
         let mut mlp = model();
-        let r = prune_mlp_to_sparsity(&mlp, 0.8, 0.01);
+        let r = prune_mlp_to_sparsity(&mlp, 0.8, 0.01, PruneStructure::Unstructured);
         assert!(r.masks[0].is_none(), "LDA must be unprunable");
         r.apply(&mut mlp);
         let mut zeros = 0usize;

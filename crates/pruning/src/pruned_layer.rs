@@ -97,17 +97,12 @@ pub struct PrunedAffine {
 
 impl PrunedAffine {
     /// Prune a dense layer with `mask` (shaped like `dense.w`, i.e.
-    /// `in_dim × out_dim`) and compress the survivors to CSR.
-    pub fn from_dense(dense: &Affine, mask: &Mask) -> Self {
-        Self::from_dense_structured(dense, mask, PruneStructure::Unstructured)
-    }
-
-    /// Prune and compress choosing the backend from `structure`:
-    /// unstructured masks go to CSR, block masks to BSR with the structure's
-    /// serving-orientation `r×c` tiles. The mask must match the structure
-    /// (whole serving tiles kept or dropped) for BSR to be lossless; masks
-    /// from the structured pruners are by construction.
-    pub fn from_dense_structured(dense: &Affine, mask: &Mask, structure: PruneStructure) -> Self {
+    /// `in_dim × out_dim`) and compress the survivors, choosing the backend
+    /// from `structure`: unstructured masks go to CSR, block masks to BSR
+    /// with the structure's serving-orientation `r×c` tiles. The mask must
+    /// match the structure (whole serving tiles kept or dropped) for BSR to
+    /// be lossless; masks from the structured pruners are by construction.
+    pub fn from_dense(dense: &Affine, mask: &Mask, structure: PruneStructure) -> Self {
         assert_eq!((mask.rows(), mask.cols()), (dense.w.rows(), dense.w.cols()));
         // Transpose while masking: sparse rows = output units.
         let wt = Matrix::from_fn(dense.w.cols(), dense.w.rows(), |o, i| {
@@ -185,7 +180,7 @@ mod tests {
         let result = prune_to_sparsity(&dense.w, 0.8, 0.01);
         let mut masked = dense.clone();
         result.mask.apply(&mut masked.w);
-        let pruned = PrunedAffine::from_dense(&dense, &result.mask);
+        let pruned = PrunedAffine::from_dense(&dense, &result.mask, PruneStructure::Unstructured);
         assert!((pruned.sparsity() - result.mask.sparsity()).abs() < 1e-9);
         assert_eq!(pruned.w.backend(), "csr");
 
@@ -210,8 +205,8 @@ mod tests {
         // an 8×8 block on w too, but go through the (c, r) swap anyway.
         let (sr, sc) = structure.block_dims().unwrap();
         let result = prune_to_sparsity_blocked(&dense.w, 0.7, 0.1, sc, sr);
-        let csr = PrunedAffine::from_dense(&dense, &result.mask);
-        let bsr = PrunedAffine::from_dense_structured(&dense, &result.mask, structure);
+        let csr = PrunedAffine::from_dense(&dense, &result.mask, PruneStructure::Unstructured);
+        let bsr = PrunedAffine::from_dense(&dense, &result.mask, structure);
         assert_eq!(bsr.w.backend(), "bsr");
         assert_eq!(csr.w.nnz(), bsr.w.nnz(), "same kept-weight count");
 

@@ -17,7 +17,7 @@
 
 use darkside_nn::check::run_cases;
 use darkside_nn::{Frame, FrameScorer, Mlp, Rng};
-use darkside_pruning::{prune_mlp_to_sparsity, PrunedMlp};
+use darkside_pruning::{prune_mlp_to_sparsity, PruneStructure, PrunedMlp};
 
 /// Random batch compositions: up to 8 "sessions", each contributing 0–12
 /// frames (zero-length contributions model sessions with nothing ready —
@@ -75,7 +75,9 @@ fn pruned_mlp_batched_scoring_is_exact() {
         let mlp = Mlp::kaldi_style(6, 8, 2, 1, 5, rng);
         // Heavy pruning (the paper's regime) — the CSR spmm path must hold
         // the same row-independence property as the dense GEMM.
-        let pruned = PrunedMlp::from_prune_result(&mlp, &prune_mlp_to_sparsity(&mlp, 0.9, 0.02));
+        let unstructured = PruneStructure::Unstructured;
+        let masks = prune_mlp_to_sparsity(&mlp, 0.9, 0.02, unstructured).masks;
+        let pruned = PrunedMlp::from_masked(&mlp, &masks, unstructured);
         assert!(pruned.sparsity() > 0.5, "case {case}: prune ineffective");
         let utts = ragged_utterances(rng, mlp.input_dim());
         assert_batching_exact(&pruned, &utts, &format!("pruned case {case}"));

@@ -7,7 +7,7 @@
 
 use darkside::nn::check::{assert_matrices_close, assert_slices_close, random_matrix, run_cases};
 use darkside::nn::{gemm_naive, gemm_with_threads, Frame, FrameScorer, Matrix, Mlp, Rng};
-use darkside::pruning::{prune_to_sparsity, Csr, PrunedAffine};
+use darkside::pruning::{prune_to_sparsity, Csr, PruneStructure, PrunedAffine};
 
 #[test]
 fn blocked_parallel_gemm_matches_oracle_across_shapes() {
@@ -59,7 +59,7 @@ fn pruned_pipeline_scores_frames() {
     let pruned90 = prune_to_sparsity(&dense.w, 0.9, 0.01);
     let mut masked = dense.clone();
     pruned90.mask.apply(&mut masked.w);
-    let sparse = PrunedAffine::from_dense(dense, &pruned90.mask);
+    let sparse = PrunedAffine::from_dense(dense, &pruned90.mask, PruneStructure::Unstructured);
     let x = random_matrix(&mut rng, 8, dense.in_dim(), 1.0);
     assert_matrices_close(
         &sparse.forward(&x),
