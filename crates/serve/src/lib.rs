@@ -157,8 +157,10 @@ impl DetectorConfig {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServeConfig {
     /// Independent scheduler shards; sessions hash onto them by id and
-    /// shards step in parallel. Default: one per available core, capped
-    /// at 8.
+    /// shards step in parallel. Every shard after the first gets one
+    /// long-lived stepping thread, started at
+    /// [`ShardedScheduler::build`] and joined when the engine drops (one
+    /// shard starts none). Default: one per available core, capped at 8.
     pub shards: usize,
     /// Decode worker threads **per shard** for the post-score fan-out.
     /// The default 1 keeps each shard single-threaded (parallelism comes

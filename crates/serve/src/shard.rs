@@ -243,6 +243,7 @@ impl Shard {
             return;
         }
         let chunk = work.len().div_ceil(workers);
+        trace::counter("serve.threads_spawned", work.len().div_ceil(chunk) as u64);
         std::thread::scope(|scope| {
             for piece in work.chunks_mut(chunk) {
                 let recorder = self.recorder.clone();

@@ -11,8 +11,11 @@
 //!    hold ≥ [`crate::ServeConfig::steal_threshold`] ready frames across
 //!    ≥ 2 ready sessions, so a lone session never ping-pongs);
 //! 2. **shard stepping** — every non-empty shard runs its micro-batch
-//!    cycle; with 2+ busy shards they run on parallel threads, each
-//!    recording into its own sink (**no shared mutex on the hot path**);
+//!    cycle, each recording into its own sink (**no shared mutex on the
+//!    hot path**). The first busy shard steps on the calling thread; every
+//!    other busy shard is handed by value to its own long-lived thread,
+//!    started at [`ShardedScheduler::build`] and joined when the engine
+//!    drops — a step never spawns a thread;
 //! 3. **bookkeeping** — scored/freed frames and closed sessions are
 //!    reported to the global [`AdmissionController`], results are swept
 //!    into the completed queue.
@@ -46,6 +49,10 @@ use darkside_trace::{
 };
 use darkside_viterbi_accel::NBestTableConfig;
 use darkside_wfst::MemoStats;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// The degraded-service table: small enough to bind (cap per-frame work)
 /// even on smoke-scale graphs, 8-way like the paper's Table III.
@@ -66,6 +73,15 @@ const SLO_WARMUP_SAMPLES: u64 = 64;
 /// throttled off the hot path; scrapes between publishes see the last
 /// rendered snapshot.
 const PUBLISH_INTERVAL_NS: u64 = 50_000_000;
+
+/// How long either side of a shard hand-off polls its channel before it
+/// blocks. A step carries only tens of frames, and a thread woken from a
+/// blocking wait takes tens of µs to come back — so the spin is what keeps
+/// the hand-off cheap. 500 µs covers about nine in ten gaps between steps
+/// under the open-loop benchmark load on a 2-vCPU host. The bound, and the
+/// yield between polls, keep a host with fewer cores than runnable threads
+/// making progress.
+const HANDOFF_SPIN: Duration = Duration::from_micros(500);
 
 /// The engine's answer to an admitted utterance offer. Rejections are not
 /// a variant: [`ShardedScheduler::offer`] returns them as typed
@@ -139,6 +155,9 @@ pub struct ShardedScheduler {
     cfg: ServeConfig,
     admission: AdmissionController,
     shards: Vec<Shard>,
+    /// One stepping thread per shard after the first: `threads[i - 1]`
+    /// steps `shards[i]`. Empty with a single shard.
+    threads: Vec<ShardThread>,
     next_id: u64,
     completed: Vec<ServedResult>,
     stats: EngineStats,
@@ -181,8 +200,16 @@ impl ShardedScheduler {
                 )
             })
             .collect();
+        let recorder = make_recorder();
+        let threads = (1..cfg.shards)
+            .map(ShardThread::start)
+            .collect::<Result<Vec<_>, _>>()?;
+        recorder.counter("serve.threads_spawned", threads.len() as u64);
         let exporter = match cfg.exporter_port {
-            Some(port) => Some(Exporter::start(port)?),
+            Some(port) => {
+                recorder.counter("serve.threads_spawned", 1);
+                Some(Exporter::start(port)?)
+            }
             None => None,
         };
         Ok(Self {
@@ -192,10 +219,11 @@ impl ShardedScheduler {
             degraded_bundle,
             cfg,
             shards,
+            threads,
             next_id: 0,
             completed: Vec::new(),
             stats: EngineStats::default(),
-            recorder: make_recorder(),
+            recorder,
             exporter,
             last_publish_ns: None,
         })
@@ -279,6 +307,7 @@ impl ShardedScheduler {
         let shard = self
             .locate(id)
             .ok_or_else(|| Error::config("serve", format!("no live session {id}")))?;
+        // `locate` just found the session on this shard.
         let session = self.shards[shard]
             .session_mut(id)
             .expect("located session exists");
@@ -390,10 +419,12 @@ impl ShardedScheduler {
         let shard = self
             .locate(id)
             .ok_or_else(|| Error::config("serve.checkpoint", format!("no live session {id}")))?;
+        // `locate` just found the session on this shard.
         let ckpt = self.shards[shard]
             .session(id)
             .expect("located session exists")
             .checkpoint()?;
+        // Nothing ran between `locate` and here to move the session away.
         let session = self.shards[shard]
             .export(id)
             .expect("located session exists");
@@ -712,6 +743,7 @@ impl ShardedScheduler {
             let Some(victim) = self.shards[donor].steal_candidate() else {
                 continue;
             };
+            // `steal_candidate` just picked this id from the donor's table.
             let session = self.shards[donor]
                 .export(victim)
                 .expect("steal candidate exists");
@@ -722,25 +754,50 @@ impl ShardedScheduler {
         moved
     }
 
-    /// Phase 2: run every non-empty shard's micro-batch cycle. One busy
-    /// shard steps inline; two or more step on parallel scoped threads,
-    /// each recording into its own shard sink.
+    /// Phase 2: run every non-empty shard's micro-batch cycle, each under
+    /// its own shard sink. The first busy shard steps on the calling
+    /// thread; every other busy shard is handed by value to its own
+    /// long-lived thread (started at build, so no step spawns one) and
+    /// comes back with its [`ShardStep`] before this returns. A panicking
+    /// shard step loses no shard and no session: every shard is put back
+    /// in place first, then the first panic resumes with its original
+    /// payload.
     fn step_shards(&mut self) -> Vec<ShardStep> {
-        let busy: Vec<&mut Shard> = self.shards.iter_mut().filter(|s| !s.is_empty()).collect();
-        if busy.len() <= 1 {
-            return busy.into_iter().map(|s| s.step()).collect();
+        let busy: Vec<usize> = (0..self.shards.len())
+            .filter(|&i| !self.shards[i].is_empty())
+            .collect();
+        let Some((&first, rest)) = busy.split_first() else {
+            return Vec::new();
+        };
+        if rest.is_empty() {
+            return vec![self.shards[first].step()];
         }
-        let mut out = Vec::with_capacity(busy.len());
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = busy
-                .into_iter()
-                .map(|shard| scope.spawn(move || shard.step()))
-                .collect();
-            for h in handles {
-                out.push(h.join().expect("shard step panicked"));
-            }
-        });
-        out
+        let mut slots: Vec<Option<Shard>> = std::mem::take(&mut self.shards)
+            .into_iter()
+            .map(Some)
+            .collect();
+        for &i in rest {
+            // `busy` holds each index once, so the slot is still full.
+            let shard = slots[i].take().expect("busy shard is in its slot");
+            self.threads[i - 1].hand_off(shard);
+        }
+        let inline = slots[first]
+            .as_mut()
+            .expect("the inline shard never leaves its slot");
+        let mut steps = vec![panic::catch_unwind(AssertUnwindSafe(|| inline.step()))];
+        for &i in rest {
+            let (shard, step) = self.threads[i - 1].take_back();
+            slots[i] = Some(shard);
+            steps.push(step);
+        }
+        self.shards = slots
+            .into_iter()
+            .map(|slot| slot.expect("every handed-off shard came back"))
+            .collect();
+        steps
+            .into_iter()
+            .collect::<std::thread::Result<_>>()
+            .unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
     /// Mirror a typed rejection into trace counters keyed by the same
@@ -756,6 +813,78 @@ impl ShardedScheduler {
             }
         }
         e
+    }
+}
+
+/// A shard plus what stepping it did (or the panic that cut it short).
+type Stepped = (Shard, std::thread::Result<ShardStep>);
+
+/// The long-lived stepping thread behind one shard after the first. The
+/// shard travels by value over one channel and comes back over the other,
+/// so no lock ever guards it; dropping the handle closes the inbound
+/// channel, which ends the thread's loop, and joins it.
+struct ShardThread {
+    to_thread: Option<Sender<Shard>>,
+    from_thread: Receiver<Stepped>,
+    handle: Option<JoinHandle<()>>,
+}
+
+impl ShardThread {
+    fn start(index: usize) -> Result<Self, Error> {
+        let (to_thread, inbox) = mpsc::channel::<Shard>();
+        let (outbox, from_thread) = mpsc::channel::<Stepped>();
+        let handle = std::thread::Builder::new()
+            .name(format!("darkside-shard-{index}"))
+            .spawn(move || {
+                while let Some(mut shard) = recv_spinning(&inbox) {
+                    let step = panic::catch_unwind(AssertUnwindSafe(|| shard.step()));
+                    if outbox.send((shard, step)).is_err() {
+                        return;
+                    }
+                }
+            })
+            .map_err(|e| Error::config("serve", format!("start shard thread {index}: {e}")))?;
+        Ok(Self {
+            to_thread: Some(to_thread),
+            from_thread,
+            handle: Some(handle),
+        })
+    }
+
+    fn hand_off(&self, shard: Shard) {
+        self.to_thread
+            .as_ref()
+            .and_then(|tx| tx.send(shard).ok())
+            // The thread only exits once `to_thread` is dropped, in `Drop`.
+            .expect("shard thread is running");
+    }
+
+    fn take_back(&self) -> Stepped {
+        // The thread catches every step's panic, so it always answers.
+        recv_spinning(&self.from_thread).expect("shard thread answered")
+    }
+}
+
+impl Drop for ShardThread {
+    fn drop(&mut self) {
+        drop(self.to_thread.take());
+        if let Some(handle) = self.handle.take() {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Wait for a hand-off: poll for up to [`HANDOFF_SPIN`], yielding the
+/// core between polls, then block. `None` once the sending side is gone.
+fn recv_spinning<T>(rx: &Receiver<T>) -> Option<T> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(value) => return Some(value),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if start.elapsed() < HANDOFF_SPIN => std::thread::yield_now(),
+            Err(TryRecvError::Empty) => return rx.recv().ok(),
+        }
     }
 }
 
@@ -1165,6 +1294,112 @@ mod tests {
         }
         engine.drain().unwrap();
         assert!(!engine.metrics().counters.contains_key("wfst.memo.hits"));
+    }
+
+    #[test]
+    fn shard_threads_start_at_build_not_per_step() {
+        let bundle = test_bundle();
+        let threads_spawned = |engine: &ShardedScheduler| {
+            engine
+                .metrics()
+                .counters
+                .get("serve.threads_spawned")
+                .copied()
+                .unwrap_or(0)
+        };
+        for (shards, spawned) in [(2, 1), (1, 0)] {
+            let mut engine = ShardedScheduler::build(
+                bundle.clone(),
+                ServeConfig::default()
+                    .with_shards(shards)
+                    .with_max_batch_frames(2 / shards),
+            )
+            .unwrap();
+            // Ids 0 and 1 land on shards 0 and 1 (both on shard 0 with one
+            // shard); one frame per session per step keeps every shard
+            // busy for all 200 steps.
+            for u in utterances(&bundle, 2, 200, 0x30) {
+                engine.offer(u).unwrap();
+            }
+            for _ in 0..200 {
+                assert_eq!(engine.step().unwrap().scored_frames, 2);
+            }
+            assert_eq!(engine.drain().unwrap().len(), 2);
+            assert_eq!(threads_spawned(&engine), spawned, "{shards} shard(s)");
+        }
+    }
+
+    /// Panics with `"scorer call {k}"` on its `k`-th call made from a
+    /// shard thread (`on_shard_thread`) or from the stepping thread.
+    struct PanicOnCall {
+        inner: Arc<dyn FrameScorer + Send + Sync>,
+        k: usize,
+        on_shard_thread: bool,
+        calls: std::sync::atomic::AtomicUsize,
+    }
+
+    impl FrameScorer for PanicOnCall {
+        fn input_dim(&self) -> usize {
+            self.inner.input_dim()
+        }
+
+        fn num_classes(&self) -> usize {
+            self.inner.num_classes()
+        }
+
+        fn score_frames(&self, frames: &[Frame]) -> Scores {
+            let current = std::thread::current();
+            let on_shard_thread = current
+                .name()
+                .is_some_and(|n| n.starts_with("darkside-shard-"));
+            if on_shard_thread == self.on_shard_thread {
+                let call = 1 + self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                if call == self.k {
+                    std::panic::panic_any(format!("scorer call {call}"));
+                }
+            }
+            self.inner.score_frames(frames)
+        }
+    }
+
+    #[test]
+    fn a_panicking_shard_step_loses_no_session_and_hangs_no_thread() {
+        let bundle = test_bundle();
+        for on_shard_thread in [true, false] {
+            let faulty = ModelBundle {
+                scorer: Arc::new(PanicOnCall {
+                    inner: bundle.scorer.clone(),
+                    k: 3,
+                    on_shard_thread,
+                    calls: Default::default(),
+                }),
+                ..bundle.clone()
+            };
+            let mut engine = ShardedScheduler::build(
+                faulty,
+                test_config()
+                    .with_max_batch_frames(2)
+                    .with_degrade_fraction(1.0),
+            )
+            .unwrap();
+            for u in utterances(&bundle, 4, 8, 0x31) {
+                engine.offer(u).unwrap();
+            }
+            let before = engine.active_sessions();
+            let payload = (0..8)
+                .find_map(|_| std::panic::catch_unwind(AssertUnwindSafe(|| engine.step())).err())
+                .expect("the third scorer call panics within 8 steps");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("scorer call 3"),
+                "on_shard_thread = {on_shard_thread}"
+            );
+            assert_eq!(engine.active_sessions(), before);
+            assert_eq!(engine.shard_count(), 2);
+            // Dropping joins the shard thread; the test returning proves
+            // nothing hangs.
+            drop(engine);
+        }
     }
 
     #[test]
